@@ -1,18 +1,12 @@
-//! Columnar-vs-row-store bench: the narrow-CFD / wide-schema workload the
-//! struct-of-arrays refactor targets.
+//! Columnar detection bench: the narrow-CFD / wide-schema workload the
+//! struct-of-arrays layout targets.
 //!
 //! The data relation has a deliberately **wide** schema (24 text attributes)
 //! while the CFD constrains only 3 of them (`X = [K0, K1] → Y = [V0]`), so a
 //! detector that scans whole rows drags 8× more cells through cache than the
-//! query needs. Three series are measured at 100k rows (plus a 10k warm-up
+//! query needs. Two series are measured at 100k rows (plus a 10k warm-up
 //! size):
 //!
-//! * `row_era` — [`DirectDetector::detect_row_era`] over pre-materialized
-//!   `Vec<Tuple>`: the row-store era scan (one heap allocation per row held
-//!   alive, every cell of every row pulled through cache);
-//! * `rowhash` — [`DirectDetector::detect_rowhash`]: the columnar store
-//!   scanned with the pre-vectorization per-row hash loop (one projected
-//!   key `Vec` hashed per row);
 //! * `columnar` — [`DirectDetector::detect`] over the columnar [`Relation`]:
 //!   the vectorized block kernel reading only the 3 `X ∪ Y` column slices;
 //! * `columnar_sharded/N` — [`ShardedDetector`] on the columnar store (the
@@ -21,8 +15,7 @@
 //! Besides the usual harness output, the bench writes
 //! `crates/bench/BENCH_columnar.json` — machine-readable
 //! `{rows, shards, ns_per_iter}` records for each series — which the CI
-//! workflow uploads as an artifact so the perf trajectory is tracked from
-//! this PR onward.
+//! workflow uploads as an artifact.
 
 use cfd_core::Cfd;
 use cfd_datagen::rng::StdRng;
@@ -92,23 +85,12 @@ fn bench(c: &mut Criterion) {
 
     for rows in [10_000usize, 100_000] {
         let data = wide_data(rows, 0xC0_1B_A5);
-        let tuples: Vec<Tuple> = data.to_tuples();
 
-        // Sanity outside the timed region: the columnar and row-era scans
-        // report identical bytes, and the workload is dirty.
+        // Sanity outside the timed region: the sharded scans report the
+        // direct scan's bytes, and the workload is dirty.
         let direct = DirectDetector::new();
         let columnar_report = direct.detect(&cfd, &data);
         assert!(!columnar_report.is_clean(), "workload must carry noise");
-        assert_eq!(
-            direct.detect_row_era(&cfd, &tuples),
-            columnar_report,
-            "row-era and columnar scans diverged at {rows} rows"
-        );
-        assert_eq!(
-            direct.detect_rowhash(&cfd, &data),
-            columnar_report,
-            "rowhash and vectorized scans diverged at {rows} rows"
-        );
         for shards in [2usize, 4] {
             assert_eq!(
                 ShardedDetector::new(shards).detect(&cfd, &data),
@@ -121,12 +103,6 @@ fn bench(c: &mut Criterion) {
         group
             .sample_size(if rows >= 100_000 { 5 } else { 10 })
             .measurement_time(Duration::from_secs(if rows >= 100_000 { 20 } else { 5 }));
-        group.bench_function("row_era", |b| {
-            b.iter(|| direct.detect_row_era(&cfd, &tuples));
-        });
-        group.bench_function("rowhash", |b| {
-            b.iter(|| direct.detect_rowhash(&cfd, &data));
-        });
         group.bench_function("columnar", |b| {
             b.iter(|| direct.detect(&cfd, &data));
         });
@@ -144,15 +120,7 @@ fn bench(c: &mut Criterion) {
 
         // Hand-timed JSON series (the criterion shim prints text only).
         let iters = if rows >= 100_000 { 5 } else { 20 };
-        let row_era_ns = time_ns_per_iter(iters, || direct.detect_row_era(&cfd, &tuples));
-        let rowhash_ns = time_ns_per_iter(iters, || direct.detect_rowhash(&cfd, &data));
         let columnar_ns = time_ns_per_iter(iters, || direct.detect(&cfd, &data));
-        json_entries.push(format!(
-            "{{\"rows\": {rows}, \"shards\": 1, \"series\": \"row_era\", \"ns_per_iter\": {row_era_ns}}}"
-        ));
-        json_entries.push(format!(
-            "{{\"rows\": {rows}, \"shards\": 1, \"series\": \"rowhash\", \"ns_per_iter\": {rowhash_ns}}}"
-        ));
         json_entries.push(format!(
             "{{\"rows\": {rows}, \"shards\": 1, \"series\": \"columnar\", \"ns_per_iter\": {columnar_ns}}}"
         ));
@@ -163,12 +131,7 @@ fn bench(c: &mut Criterion) {
                 "{{\"rows\": {rows}, \"shards\": {shards}, \"series\": \"columnar_sharded\", \"ns_per_iter\": {ns}}}"
             ));
         }
-        println!(
-            "columnar_detect/{rows}: row_era {row_era_ns} ns/iter, rowhash {rowhash_ns} ns/iter, \
-             columnar {columnar_ns} ns/iter ({:.2}x over row_era, {:.2}x over rowhash)",
-            row_era_ns as f64 / columnar_ns as f64,
-            rowhash_ns as f64 / columnar_ns as f64
-        );
+        println!("columnar_detect/{rows}: columnar {columnar_ns} ns/iter");
     }
 
     // BENCH_columnar.json: one JSON document, entries in measurement order.

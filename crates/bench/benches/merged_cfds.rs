@@ -1,9 +1,7 @@
 //! Criterion bench for the merged-CFD study: validating a set of CFDs with
 //! one query pair per CFD vs the single merged query pair of Section 4.2,
-//! plus an interned-vs-naive comparison point: the same detection work done
-//! through `ValueId` (u32) equality vs resolved-`Value` (string) equality.
-//! The latter pair is the perf baseline for the interning refactor; record
-//! future results against it in `BENCH_*.json`.
+//! plus the direct (non-SQL) detection of the same CFD set as a reference
+//! point.
 
 use cfd_bench::tax_data;
 use cfd_datagen::{CfdWorkload, EmbeddedFd};
@@ -42,23 +40,13 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    // Interned (ValueId) vs naive (resolved-Value) direct detection of the
-    // same CFD set: isolates the gain of the dictionary-encoded hot path.
+    // Direct detection of the same CFD set through the vectorized kernel.
     let direct = DirectDetector::new();
     group.bench_function("direct_interned_ids", |b| {
         b.iter(|| {
             let mut out = cfd_detect::Violations::new();
             for cfd in &cfds {
                 out.merge(direct.detect(cfd, &data));
-            }
-            out
-        });
-    });
-    group.bench_function("direct_naive_values", |b| {
-        b.iter(|| {
-            let mut out = cfd_detect::Violations::new();
-            for cfd in &cfds {
-                out.merge(direct.detect_value_path(cfd, &data));
             }
             out
         });

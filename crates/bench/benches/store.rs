@@ -1,14 +1,16 @@
-//! Storage-layer bench: cold out-of-core scans vs. in-memory detection,
-//! and the group-commit latency of the WAL write path.
+//! Storage-layer bench: detection over a disk-backed store vs. in-memory
+//! detection, and the group-commit latency of the WAL write path.
 //!
 //! Three series over a generated tax-records workload:
 //!
 //! * `in_memory` — [`DirectDetector`] over the materialized [`Relation`]:
-//!   the ceiling a disk-backed scan is compared against;
-//! * `warm_scan` — [`ColumnStore::detect`] with the buffer pool left warm
-//!   from the previous iteration (page hits, no I/O);
-//! * `cold_scan` — the same scan after [`ColumnStore::drop_page_cache`],
-//!   so every page is read back through the (out-of-core, 64-frame) pool;
+//!   the kernel alone, the floor a store detection is compared against;
+//! * `warm_scan` — [`ColumnStore::detect`], which materializes the live
+//!   rows and runs the same kernel over them, with the buffer pool left
+//!   warm from the previous iteration (page hits, no I/O);
+//! * `cold_scan` — the same materialize plus kernel after
+//!   [`ColumnStore::drop_page_cache`], so every page is read back through
+//!   the (out-of-core, 64-frame) pool;
 //!
 //! plus `group_commit` — one durable [`ColumnStore::apply_batch`] of 64
 //! insert/delete ops (net size zero, so the store stays fixed): the
@@ -96,7 +98,7 @@ fn bench(c: &mut Criterion) {
         let dir = scratch_dir(rows);
         let opts = StoreOptions {
             // 64 frames = 256 KiB of page memory; the 40k-row workload
-            // holds ~600 pages of cells, so cold scans are out-of-core.
+            // holds ~600 pages of cells, so cold reads are out-of-core.
             pool_pages: 64,
             ..StoreOptions::default()
         };
@@ -105,15 +107,15 @@ fn bench(c: &mut Criterion) {
         let ops: Vec<BatchOp> = data.to_tuples().into_iter().map(BatchOp::Insert).collect();
         store.apply_batch(&ops).expect("load workload");
 
-        // Sanity outside the timed region: the store scan is byte-identical
-        // to in-memory detection, cold or warm.
+        // Sanity outside the timed region: store detection is
+        // byte-identical to in-memory detection, cold or warm.
         let memory_report = detect_in_memory(&cfds, &data);
         assert!(!memory_report.is_clean(), "workload must carry noise");
         store.drop_page_cache().expect("drop cache");
         assert_eq!(
             store.detect(&cfds).expect("cold scan").canonical_bytes(),
             memory_report.canonical_bytes(),
-            "cold store scan diverged at {rows} rows"
+            "cold store detection diverged at {rows} rows"
         );
 
         let mut group = c.benchmark_group(format!("store/{rows}"));

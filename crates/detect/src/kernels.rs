@@ -2,14 +2,12 @@
 //! underneath [`DirectDetector`](crate::DirectDetector), the sharded
 //! workers, and the adaptive planner.
 //!
-//! The row-at-a-time scan of the columnar era (`detect_rows` before this
-//! module, kept as [`DirectDetector::detect_rowhash`](crate::DirectDetector::detect_rowhash)
-//! for benchmarking) paid three per-row costs the struct-of-arrays layout
-//! does not require: it materialized the `X` and `Y` projections into
-//! scratch vectors, hashed an owned `Vec<ValueId>` key per group probe, and
-//! **allocated a fresh key vector for every new LHS group**. The kernels
-//! here restructure the scan around [`BLOCK`]-sized chunks of the raw
-//! `&[ValueId]` column slices:
+//! A row-at-a-time scan pays three per-row costs the struct-of-arrays
+//! layout does not require: it materializes the `X` and `Y` projections
+//! into scratch vectors, hashes an owned `Vec<ValueId>` key per group
+//! probe, and **allocates a fresh key vector for every new LHS group**.
+//! The kernels here structure the scan around [`BLOCK`]-sized chunks of
+//! the raw `&[ValueId]` column slices instead:
 //!
 //! * **Block key hashing** — the LHS key hash of a whole block is computed
 //!   column-major into a reused scratch buffer: one pass per key column
@@ -349,6 +347,7 @@ pub fn scan_group(
 mod tests {
     use super::*;
     use crate::direct::DirectDetector;
+    use crate::Detector;
     use cfd_datagen::cust::{cust_instance, phi1, phi2, phi3_with_fd, phi5};
     use cfd_datagen::records::{TaxConfig, TaxGenerator};
     use cfd_datagen::{CfdWorkload, EmbeddedFd};
@@ -361,18 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_rowhash_scan_on_the_running_example() {
+    fn matches_the_sql_detector_on_the_running_example() {
         let rel = cust_instance();
         for cfd in [phi1(), phi2(), phi3_with_fd(), phi5()] {
             let vectorized = scan_one(&cfd, &rel);
-            let rowhash = DirectDetector::new().detect_rowhash(&cfd, &rel);
-            assert_eq!(vectorized, rowhash, "{:?}", cfd.name());
-            assert_eq!(vectorized.canonical_bytes(), rowhash.canonical_bytes());
+            let sql = Detector::new().detect(&cfd, &rel).unwrap();
+            assert_eq!(vectorized, sql, "{:?}", cfd.name());
+            assert_eq!(vectorized.canonical_bytes(), sql.canonical_bytes());
         }
     }
 
     #[test]
-    fn matches_the_rowhash_scan_on_a_noisy_workload() {
+    fn matches_the_sql_detector_on_a_noisy_workload() {
         let noisy = TaxGenerator::new(TaxConfig {
             size: 3_000,
             noise_percent: 7.0,
@@ -388,9 +387,9 @@ mod tests {
         ] {
             let cfd = workload.single(fd, tab, consts);
             let vectorized = scan_one(&cfd, &noisy);
-            let rowhash = DirectDetector::new().detect_rowhash(&cfd, &noisy);
-            assert!(!vectorized.is_clean() || rowhash.is_clean());
-            assert_eq!(vectorized, rowhash, "{fd:?}");
+            let sql = Detector::new().detect(&cfd, &noisy).unwrap();
+            assert!(!vectorized.is_clean() || sql.is_clean());
+            assert_eq!(vectorized, sql, "{fd:?}");
         }
     }
 

@@ -25,8 +25,13 @@
 //! * [`detector`] — the high-level [`Detector`] that runs those queries on
 //!   the in-memory SQL engine (per-CFD, merged, or in parallel), and the
 //!   [`DetectorKind`] selector dispatching over every engine,
-//! * [`direct`] — an independent hash-based detector used as a test oracle
-//!   and as a non-SQL fast path,
+//! * [`kernels`] — the vectorized columnar `QC`+`QV` scan kernel, the one
+//!   non-SQL detection kernel every in-memory and disk-backed scan runs,
+//! * [`direct`] — the [`DirectDetector`] over that kernel, the independent
+//!   oracle the SQL path is tested against and the non-SQL fast path, plus
+//!   [`detect_with_index`] over a prebuilt LHS index,
+//! * [`planner`] — the cost-based [`Planner`] choosing a kernel strategy
+//!   per CFD for [`DetectorKind::Auto`] (extension beyond the paper),
 //! * [`sharded`] — the [`ShardedDetector`]: rows hash-partitioned by interned
 //!   LHS key and scanned on scoped worker threads, byte-identical reports to
 //!   the direct path (extension beyond the paper),

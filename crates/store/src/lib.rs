@@ -1,18 +1,18 @@
 //! `cfd-store` — the durable, bounded-memory storage layer.
 //!
 //! The rest of the workspace works over fully in-memory [`Relation`]s;
-//! this crate adds a disk-backed backend with the same detection
-//! semantics: a [`ColumnStore`] keeps interned columns in fixed-size
-//! pages on disk, caches them through a bounded [`BufferPool`], persists
-//! its value dictionary so ids survive restart, and makes every applied
-//! batch durable through a write-ahead log with group commit.
+//! this crate adds a durable backend for them: a [`ColumnStore`] keeps
+//! interned columns in fixed-size pages on disk, caches them through a
+//! bounded [`BufferPool`], persists its value dictionary so ids survive
+//! restart, and makes every applied batch durable through a write-ahead
+//! log with group commit.
 //!
 //! The design is classic out-of-core database machinery in miniature:
 //!
 //! * [`Pager`] — fixed 4 KiB pages over a single `pages.dat`, page
 //!   numbers computed from `(chunk, attr)` so no directory is needed;
 //! * [`BufferPool`] — pin/unpin, LRU-ish eviction, dirty-page writeback;
-//!   its [`PoolStats::peak_resident`] is the proof that scans over
+//!   its [`PoolStats::peak_resident`] is the proof that reads over
 //!   instances much larger than the pool stay within the page budget;
 //! * a persisted dictionary mapping store-local dense `u32` ids to
 //!   runtime [`ValueId`](cfd_relation::ValueId)s (runtime ids are
@@ -21,10 +21,13 @@
 //!   replay makes [`ColumnStore::apply_batch`] crash-recoverable — see
 //!   the durability contract on [`ColumnStore`].
 //!
-//! Detection runs directly over the store with a streaming chunk scan
-//! that is byte-identical to the in-memory detectors (reports are ordered
-//! sets), so the engine's detect/repair/sqlgen layers work unchanged over
-//! either backing.
+//! Page memory is bounded by the pool, not the relation: the store holds
+//! at most `pool_pages` pages resident however many rows it persists.
+//! Detection and repair do not run over the pages themselves. They run
+//! over [`ColumnStore::materialize`]'d live rows, with the same kernels as
+//! an in-memory session, so a session over a store holds the live rows in
+//! memory while it serves them and reports byte-identically to one over
+//! the same [`Relation`].
 //!
 //! [`Relation`]: cfd_relation::Relation
 
@@ -33,7 +36,6 @@ mod encode;
 mod error;
 mod pager;
 mod pool;
-mod scan;
 mod store;
 mod wal;
 

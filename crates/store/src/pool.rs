@@ -3,8 +3,8 @@
 //! Every page access goes through here: a fixed number of in-memory frames
 //! cache decoded pages, pinned frames are immune to eviction, and dirty
 //! frames are written back to the [`Pager`] when evicted or flushed. The
-//! pool is the store's **memory ceiling** — scans over instances far larger
-//! than the pool complete with at most `capacity` resident pages, and
+//! pool is the store's **page-memory ceiling** — reads over instances far
+//! larger than the pool complete with at most `capacity` resident pages, and
 //! [`PoolStats::peak_resident`] proves it (the out-of-core acceptance test
 //! asserts `peak_resident <= capacity`).
 //!

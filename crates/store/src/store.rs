@@ -44,10 +44,9 @@ use crate::encode::{frame, put_str, put_u32, put_u64, put_value, scan_frames, ta
 use crate::error::{Result, StoreError};
 use crate::pager::{Pager, PAGE_CELLS};
 use crate::pool::{BufferPool, PoolStats};
-use crate::scan::scan_store;
 use crate::wal::{StoreOp, Wal};
 use cfd_core::Cfd;
-use cfd_detect::{BatchOp, Violations};
+use cfd_detect::{BatchOp, DirectDetector, Violations};
 use cfd_relation::{AttrType, Domain, Relation, RelationError, Schema, Value, ValueId};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -59,8 +58,8 @@ const META_VERSION: u32 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Buffer-pool capacity in pages (clamped to at least 2). The store's
-    /// page memory never exceeds this — out-of-core scans hold
-    /// `peak_resident <= pool_pages`.
+    /// page memory never exceeds this — reads of instances larger than
+    /// the pool hold `peak_resident <= pool_pages`.
     pub pool_pages: usize,
     /// WAL size that triggers a checkpoint after a commit.
     pub wal_checkpoint_bytes: u64,
@@ -284,16 +283,14 @@ impl ColumnStore {
         self.commit(&store_ops)
     }
 
-    /// Detects all violations of `cfds` with a streaming, chunk-at-a-time
-    /// scan whose page memory is bounded by the pool. The report is
-    /// byte-identical to detection over [`ColumnStore::materialize`]'d
-    /// data (reports are ordered sets, so scan order is immaterial).
+    /// Detects all violations of `cfds`: [`ColumnStore::materialize`]
+    /// followed by [`DirectDetector::detect_set`], the same vectorized
+    /// kernel in-memory detection runs. Page memory stays bounded by the
+    /// pool while the live rows are read; the materialized relation holds
+    /// them in memory for the duration of the scan.
     pub fn detect(&mut self, cfds: &[Cfd]) -> Result<Violations> {
-        let mut out = Violations::new();
-        for cfd in cfds {
-            out.merge(scan_store(self, cfd)?);
-        }
-        Ok(out)
+        let rel = self.materialize()?;
+        Ok(DirectDetector::new().detect_set(cfds, &rel))
     }
 
     /// Materializes the live tuples as an in-memory [`Relation`] in
@@ -445,32 +442,15 @@ impl ColumnStore {
         self.pool.write_cell(&mut self.pager, page, offset, sid)
     }
 
-    pub(crate) fn read_sid(&mut self, slot: u64, attr: u32) -> Result<u32> {
+    fn read_sid(&mut self, slot: u64, attr: u32) -> Result<u32> {
         let (page, offset) = self.locate(slot, attr);
         self.pool.read_cell(&mut self.pager, page, offset)
     }
 
     /// The runtime [`ValueId`] stored at `(slot, attr)`.
-    pub(crate) fn read_id(&mut self, slot: u64, attr: u32) -> Result<ValueId> {
+    fn read_id(&mut self, slot: u64, attr: u32) -> Result<ValueId> {
         let sid = self.read_sid(slot, attr)?;
         self.dict.runtime_id(sid)
-    }
-
-    /// Reads the column chunk of `attr` covering slots
-    /// `[chunk·PAGE_CELLS, …)` into `out` as raw store ids.
-    pub(crate) fn read_chunk(&mut self, chunk: u64, attr: u32, out: &mut Vec<u32>) -> Result<()> {
-        out.clear();
-        let page = chunk * self.arity as u64 + u64::from(attr);
-        self.pool
-            .read_cells(&mut self.pager, page, 0, PAGE_CELLS, out)
-    }
-
-    pub(crate) fn translate(&self, sid: u32) -> Result<ValueId> {
-        self.dict.runtime_id(sid)
-    }
-
-    pub(crate) fn is_dead(&self, slot: u64) -> bool {
-        self.dead.contains(&slot)
     }
 }
 

@@ -216,21 +216,12 @@ impl Session {
     /// scratch on [`Session::snapshot`] — the differential harness pins
     /// this across every engine.
     ///
-    /// On a **disk-backed** session, the scan-based kinds (`Direct`,
-    /// `Sharded`, `Auto`) run as a streaming scan over the store whose page
-    /// memory is bounded by the buffer pool — byte-identical to the direct
-    /// scan, as all three contractually are — without materializing the
-    /// instance. The SQL kinds materialize a snapshot first (the prepared
-    /// plans need a bound relation).
+    /// A **disk-backed** session runs every kind the same way: over the
+    /// snapshot materialized from the store, which the session caches, so
+    /// the snapshot a caller publishes after a batch is the one detection
+    /// already read. Page memory stays bounded by the buffer pool; the
+    /// snapshot holds the live rows in memory.
     pub fn detect(&mut self) -> Result<Violations> {
-        if let Some(store) = self.store.as_mut() {
-            if matches!(
-                self.engine.config().detector(),
-                DetectorKind::Direct | DetectorKind::Sharded { .. } | DetectorKind::Auto
-            ) {
-                return Ok(store.detect(self.engine.rules().cfds())?);
-            }
-        }
         match self.engine.config().detector() {
             DetectorKind::Direct => self.detect_direct(),
             DetectorKind::Sql => {
@@ -314,8 +305,8 @@ impl Session {
     /// every scored candidate, and the group-cardinality estimate it was
     /// based on. `None` before the first `Auto` detection and after every
     /// applied batch (a batch invalidates the statistics the plan was built
-    /// from). Disk-backed sessions run `Auto` as the streaming store scan
-    /// and never populate a plan.
+    /// from). Disk-backed sessions plan over their materialized snapshot
+    /// like in-memory ones.
     pub fn detection_plan(&self) -> Option<&DetectionPlan> {
         self.plan.as_ref()
     }

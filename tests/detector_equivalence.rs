@@ -1,10 +1,9 @@
 //! Property-style tests (deterministic randomized, offline — no proptest):
 //! the SQL-based detector, under every evaluation strategy, agrees with the
-//! independent direct detector on arbitrary data and arbitrary CFDs; the
-//! interned detection path returns byte-identical reports to the retained
-//! value-comparison path; and the paper's invariants about query generation
-//! hold (query size independent of tableau size, merged vs per-CFD
-//! consistency of the QC component).
+//! independent direct detector on arbitrary data and arbitrary CFDs and on
+//! a ≥10k-tuple generated workload; and the paper's invariants about query
+//! generation hold (query size independent of tableau size, merged vs
+//! per-CFD consistency of the QC component).
 
 use cfd_core::{Cfd, PatternTableau, PatternTuple, PatternValue};
 use cfd_datagen::records::{TaxConfig, TaxGenerator};
@@ -97,28 +96,10 @@ fn sql_equals_direct() {
     }
 }
 
-/// The interned detection path returns byte-identical `Violations` to the
-/// value-comparison path on arbitrary data and CFDs.
+/// On a ≥10k-tuple generated tax workload, the direct detector reports
+/// exactly the same violation sets as the paper's SQL path.
 #[test]
-fn interned_equals_value_path_on_random_cases() {
-    let mut rng = StdRng::seed_from_u64(0x1D5);
-    for case in 0..CASES {
-        let rel = random_relation(&mut rng);
-        let cfd = random_cfd(&mut rng);
-        let interned = DirectDetector::new().detect(&cfd, &rel);
-        let value_path = DirectDetector::new().detect_value_path(&cfd, &rel);
-        assert_eq!(
-            interned, value_path,
-            "case {case}: interned vs value path, cfd {cfd}"
-        );
-    }
-}
-
-/// The acceptance check of the interning refactor: on a ≥10k-tuple generated
-/// tax workload, the interned detectors (direct hash path and SQL path)
-/// report exactly the same violation sets as the Value-comparison path.
-#[test]
-fn interned_equals_value_path_on_generated_workload() {
+fn direct_equals_sql_on_generated_workload() {
     let noisy = TaxGenerator::new(TaxConfig {
         size: 10_000,
         noise_percent: 6.0,
@@ -136,22 +117,15 @@ fn interned_equals_value_path_on_generated_workload() {
     ];
     let shared = Arc::new(noisy.clone());
     for cfd in &cfds {
-        let value_path = DirectDetector::new().detect_value_path(cfd, &noisy);
-        let interned = DirectDetector::new().detect(cfd, &noisy);
-        assert_eq!(
-            interned,
-            value_path,
-            "interned direct detection differs from the value path for {:?}",
-            cfd.name()
-        );
+        let direct = DirectDetector::new().detect(cfd, &noisy);
         let sql = Detector::new()
             .detect_shared(cfd, Arc::clone(&shared))
             .unwrap()
             .0;
         assert_eq!(
+            direct,
             sql,
-            value_path,
-            "interned SQL detection differs from the value path for {:?}",
+            "direct detection differs from the SQL path for {:?}",
             cfd.name()
         );
     }

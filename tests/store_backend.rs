@@ -102,8 +102,8 @@ fn a_rejected_batch_on_a_disk_session_commits_nothing() {
 
 /// Differential harness over the disk path: for every detector kind, a
 /// disk-backed session must report byte-identically to an in-memory
-/// session over the same instance — whether the kind scans the store
-/// directly (Direct/Sharded/Auto) or materializes first (the SQL kinds).
+/// session over the same instance. Every kind runs over the snapshot the
+/// disk session materializes from its store.
 #[test]
 fn disk_and_memory_sessions_agree_across_every_detector_kind() {
     let dir = scratch_dir("differential");
@@ -161,6 +161,53 @@ fn disk_and_memory_sessions_agree_across_every_detector_kind() {
         dirty |= !disk.is_clean();
     }
     assert!(dirty, "the workload must contain real violations");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A disk-backed `Auto` session plans like an in-memory one: `detect`
+/// fills `detection_plan`, and the plan is the one an in-memory session
+/// over the same snapshot chooses.
+#[test]
+fn a_disk_auto_session_plans_like_an_in_memory_one() {
+    let dir = scratch_dir("plan");
+    let data = TaxGenerator::new(TaxConfig {
+        size: 1_500,
+        noise_percent: 8.0,
+        seed: 41,
+    })
+    .generate()
+    .relation;
+    let engine = Engine::builder()
+        .rules(tax_cfds(9))
+        .config(
+            EngineConfig::builder()
+                .detector(DetectorKind::Auto)
+                .storage(StorageConfig {
+                    pool_pages: 8,
+                    ..StorageConfig::default()
+                })
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let mut disk = engine.session_on_disk(&dir).unwrap();
+    disk.ingest(&insert_ops(&data)).unwrap();
+    let disk_report = disk.detect().unwrap();
+    let disk_plan = disk
+        .detection_plan()
+        .expect("Auto detect on a disk session caches a plan")
+        .to_string();
+
+    let mut memory = engine.session(disk.snapshot().unwrap()).unwrap();
+    let memory_report = memory.detect().unwrap();
+    let memory_plan = memory.detection_plan().expect("Auto plan").to_string();
+    assert_eq!(disk_plan, memory_plan);
+    assert_eq!(
+        disk_report.canonical_bytes(),
+        memory_report.canonical_bytes()
+    );
+    drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
